@@ -640,6 +640,8 @@ pub struct IndexFootprint {
     /// Sorted per-tree `(label, item)` arrays.
     pub tree_bytes: usize,
     /// Stored full signatures (similarity refinement at query time).
+    /// The forests intern equal signatures, so this counts each
+    /// distinct signature once, not once per attribute.
     pub signature_bytes: usize,
 }
 

@@ -16,6 +16,14 @@
 //! chasing a heap pointer per entry, and candidate ids come out of a
 //! contiguous `&[ItemId]` slice.
 //!
+//! Stored signatures are **interned**: each distinct signature is kept
+//! once, as a refcounted class in a flat word arena, and every item
+//! points to its class. Lakes repeat column names and format
+//! patterns, so hundreds of attributes can share one name or format
+//! signature; a lookup then scores each distinct signature once
+//! instead of once per candidate, and the arena holds the distinct
+//! signatures only.
+//!
 //! Construction is a two-phase builder: [`LshForest::insert`] appends
 //! to the per-tree arenas, and an explicit [`LshForest::commit`] (or
 //! [`LshForest::commit_parallel`]) sorts them. All query methods take
@@ -269,14 +277,19 @@ impl FlatTree {
 
 /// An LSH Forest over signatures of type `S`.
 ///
-/// Stored signatures live in a **flat arena**: one contiguous
-/// `Vec<u64>` of fixed-stride slots plus a parallel slot → id array,
-/// with an id → slot map only for point lookups. Candidate scoring
-/// maps candidate ids to slots, sorts the slots, and scans the arena
-/// in address order — one sequential, prefetch-friendly pass instead
-/// of a dependent hash-probe plus heap-pointer chase per candidate
-/// (the historical `HashMap<ItemId, S>` cost two cache misses per
-/// ~2 KB signature read).
+/// Stored signatures live in an **interned arena**: one contiguous
+/// `Vec<u64>` of fixed-stride classes, each holding one distinct
+/// signature, with a refcount per class. Every item slot points to its
+/// class, and an id → slot map serves point lookups. A words-hash
+/// index finds the class an inserted signature may belong to and a
+/// full word comparison confirms it, so two different signatures are
+/// never merged, even when their hashes collide. Removing an item
+/// frees its class with the last member, so the arena holds exactly
+/// the distinct live signatures.
+///
+/// Candidate scoring ([`query_union`]) groups candidates by class and
+/// scores each class once per lookup, reading the arena in address
+/// order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LshForest<S> {
     /// Number of trees (`l`).
@@ -293,12 +306,22 @@ pub struct LshForest<S> {
     /// Shape metadata shared by all stored signatures
     /// ([`Signature::meta`]; bit count for bit signatures).
     sig_meta: u64,
-    /// Slot-major signature word arena: slot `s` occupies
-    /// `sig_words[s*stride .. (s+1)*stride]`.
+    /// Class-major arena of distinct signatures: class `c` occupies
+    /// `sig_words[c*stride .. (c+1)*stride]`.
     sig_words: Vec<u64>,
+    /// Number of slots pointing at each class — never 0: a class is
+    /// freed together with its last member.
+    class_refs: Vec<u32>,
+    /// Words-hash → the classes with that hash (more than one only on
+    /// a hash collision). Signatures derive from lake contents, so
+    /// this map keeps the default, collision-resistant hasher; it is
+    /// off the query path.
+    classes_by_hash: std::collections::HashMap<u64, Vec<u32>>,
     /// Item id of each slot.
     slot_ids: Vec<ItemId>,
-    /// Id → arena slot, for point lookups and removal.
+    /// Signature class of each slot.
+    slot_class: Vec<u32>,
+    /// Id → slot, for point lookups and removal.
     slot_of: IdHashMap<ItemId, u32>,
     _sig: std::marker::PhantomData<S>,
 }
@@ -311,15 +334,23 @@ impl<S: Signature> LshForest<S> {
         assert!(l > 0, "need at least one tree");
         assert!(sig_len >= l, "signature too short for {l} trees");
         let k = sig_len / l;
+        LshForest::from_trees(l, k, (0..l).map(|_| FlatTree::new(k)).collect(), true)
+    }
+
+    /// A forest over the given trees with no stored signatures yet.
+    fn from_trees(l: usize, k: usize, trees: Vec<FlatTree>, sorted: bool) -> Self {
         LshForest {
             l,
             k,
-            trees: (0..l).map(|_| FlatTree::new(k)).collect(),
-            sorted: true,
+            trees,
+            sorted,
             sig_stride: 0,
             sig_meta: 0,
             sig_words: Vec::new(),
+            class_refs: Vec::new(),
+            classes_by_hash: Default::default(),
             slot_ids: Vec::new(),
+            slot_class: Vec::new(),
             slot_of: IdHashMap::default(),
             _sig: std::marker::PhantomData,
         }
@@ -390,10 +421,10 @@ impl<S: Signature> LshForest<S> {
         self.sorted = false;
     }
 
-    /// Write a signature's words into the arena — new ids append a
-    /// slot; re-inserted ids overwrite theirs in place. Panics when
-    /// the signature's shape differs from what the forest stores (one
-    /// forest holds one hasher's output).
+    /// Point an item's slot at the class of its signature — new ids
+    /// append a slot; re-inserted ids move theirs to the new class.
+    /// Panics when the signature's shape differs from what the forest
+    /// stores (one forest holds one hasher's output).
     fn store_signature(&mut self, id: ItemId, sig: &S) {
         let words = sig.words();
         if self.slot_ids.is_empty() {
@@ -403,25 +434,93 @@ impl<S: Signature> LshForest<S> {
             assert_eq!(words.len(), self.sig_stride, "signature shape mismatch");
             debug_assert_eq!(sig.meta(), self.sig_meta, "signature shape mismatch");
         }
+        let class = self.intern(words);
         match self.slot_of.get(&id) {
             Some(&slot) => {
-                let s = slot as usize * self.sig_stride;
-                self.sig_words[s..s + self.sig_stride].copy_from_slice(words);
+                let old = std::mem::replace(&mut self.slot_class[slot as usize], class);
+                self.release(old);
             }
             None => {
                 let slot = self.slot_ids.len();
                 assert!(slot <= u32::MAX as usize, "forest too large for u32 slots");
                 self.slot_of.insert(id, slot as u32);
                 self.slot_ids.push(id);
-                self.sig_words.extend_from_slice(words);
+                self.slot_class.push(class);
             }
         }
     }
 
-    /// Arena words of slot `s`.
+    /// The class holding `words`, with one more reference: an existing
+    /// class when an equal signature is stored, a new one otherwise.
+    fn intern(&mut self, words: &[u64]) -> u32 {
+        let stride = self.sig_stride;
+        let bucket = self.classes_by_hash.entry(words_hash(words)).or_default();
+        let arena = &self.sig_words;
+        let found = bucket
+            .iter()
+            .copied()
+            .find(|&c| &arena[c as usize * stride..(c as usize + 1) * stride] == words);
+        if let Some(c) = found {
+            self.class_refs[c as usize] += 1;
+            return c;
+        }
+        let c = self.class_refs.len();
+        assert!(c < u32::MAX as usize, "forest too large for u32 classes");
+        bucket.push(c as u32);
+        self.sig_words.extend_from_slice(words);
+        self.class_refs.push(1);
+        c as u32
+    }
+
+    /// Drop one reference to `class`, freeing it with its last member.
+    /// The last class moves into the hole, taking its hash-index entry
+    /// and its member slots with it, so the arena stays dense.
+    fn release(&mut self, class: u32) {
+        let c = class as usize;
+        self.class_refs[c] -= 1;
+        if self.class_refs[c] > 0 {
+            return;
+        }
+        let h = words_hash(self.class_words(class));
+        let bucket = self
+            .classes_by_hash
+            .get_mut(&h)
+            .expect("live class is indexed");
+        bucket.retain(|&x| x != class);
+        if bucket.is_empty() {
+            self.classes_by_hash.remove(&h);
+        }
+        let last = self.class_refs.len() - 1;
+        if c != last {
+            let moved = last as u32;
+            let h = words_hash(self.class_words(moved));
+            for x in self
+                .classes_by_hash
+                .get_mut(&h)
+                .expect("live class is indexed")
+            {
+                if *x == moved {
+                    *x = class;
+                }
+            }
+            for x in &mut self.slot_class {
+                if *x == moved {
+                    *x = class;
+                }
+            }
+            let stride = self.sig_stride;
+            self.sig_words
+                .copy_within(last * stride..(last + 1) * stride, c * stride);
+            self.class_refs[c] = self.class_refs[last];
+        }
+        self.class_refs.truncate(last);
+        self.sig_words.truncate(last * self.sig_stride);
+    }
+
+    /// Arena words of class `c`.
     #[inline]
-    fn slot_words(&self, s: u32) -> &[u64] {
-        let s = s as usize * self.sig_stride;
+    fn class_words(&self, c: u32) -> &[u64] {
+        let s = c as usize * self.sig_stride;
         &self.sig_words[s..s + self.sig_stride]
     }
 
@@ -475,20 +574,13 @@ impl<S: Signature> LshForest<S> {
         let Some(slot) = self.slot_of.remove(&id) else {
             return false;
         };
-        // Swap-remove the arena slot: move the last slot's words and
-        // id into the vacated position, then truncate.
         let s = slot as usize;
-        let last = self.slot_ids.len() - 1;
-        if s != last {
-            let moved = self.slot_ids[last];
-            self.slot_ids[s] = moved;
-            let stride = self.sig_stride;
-            self.sig_words
-                .copy_within(last * stride..(last + 1) * stride, s * stride);
+        self.slot_ids.swap_remove(s);
+        let class = self.slot_class.swap_remove(s);
+        if let Some(&moved) = self.slot_ids.get(s) {
             self.slot_of.insert(moved, slot);
         }
-        self.slot_ids.truncate(last);
-        self.sig_words.truncate(last * self.sig_stride);
+        self.release(class);
         for tree in &mut self.trees {
             tree.remove_id(id);
         }
@@ -511,7 +603,8 @@ impl<S: Signature> LshForest<S> {
     /// snapshot decoder) is responsible for having validated the
     /// invariants: `k`-stride trees, one tree entry per signature per
     /// tree, unique ids with one shared signature shape, and sorted
-    /// trees whenever `sorted` is set.
+    /// trees whenever `sorted` is set. Equal signatures are interned
+    /// into one class, exactly as on insert.
     pub fn from_stored_parts(
         l: usize,
         k: usize,
@@ -520,94 +613,19 @@ impl<S: Signature> LshForest<S> {
         sorted: bool,
     ) -> Self {
         debug_assert_eq!(trees.len(), l, "one tree array per tree");
-        let mut forest = LshForest {
-            l,
-            k,
-            trees,
-            sorted,
-            sig_stride: 0,
-            sig_meta: 0,
-            sig_words: Vec::new(),
-            slot_ids: Vec::new(),
-            slot_of: IdHashMap::default(),
-            _sig: std::marker::PhantomData,
-        };
+        let mut forest = LshForest::from_trees(l, k, trees, sorted);
         for (id, sig) in &sigs {
             forest.store_signature(*id, sig);
         }
         forest
     }
 
-    /// Top-`k` most similar items to `sig`. Panics unless the forest
-    /// is committed ([`LshForest::commit`]); taking `&self` keeps the
-    /// forest shareable lock-free across query workers.
-    ///
-    /// Descends each tree from the full depth, widening the prefix
-    /// until at least `k` distinct candidates are gathered (or depth
-    /// is exhausted), then ranks candidates by their estimated
-    /// similarity from the stored signatures.
+    /// Top-`k` most similar items to `sig`: [`query_union`] over this
+    /// one forest. Panics unless the forest is committed
+    /// ([`LshForest::commit`]); taking `&self` keeps the forest
+    /// shareable lock-free across query workers.
     pub fn query(&self, sig: &S, k: usize) -> Vec<Hit> {
-        assert!(self.sorted, "forest not committed; call commit() first");
-        if k == 0 || self.slot_ids.is_empty() {
-            return Vec::new();
-        }
-        let labels = self.query_labels(sig);
-        let mut candidates: IdHashSet<ItemId> = IdHashSet::default();
-        // Synchronous descent across trees, deepest first: one
-        // full-depth binary search per tree seeds a cursor, then each
-        // shallower level widens the cursors outward over the arena —
-        // every level sees exactly the prefix runs a per-level binary
-        // search would, but each entry is visited once per tree.
-        let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(self.trees.len());
-        for (t, tree) in self.trees.iter().enumerate() {
-            let (lo, hi) = tree.prefix_range(&labels[t * self.k..(t + 1) * self.k]);
-            for &id in &tree.ids()[lo..hi] {
-                candidates.insert(id);
-            }
-            cursors.push((lo, hi));
-        }
-        let mut depth = self.k;
-        while candidates.len() < k && depth > 1 {
-            depth -= 1;
-            for (t, tree) in self.trees.iter().enumerate() {
-                let (lo, hi) = &mut cursors[t];
-                tree.widen_prefix_run(&labels[t * self.k..t * self.k + depth], lo, hi, |id| {
-                    candidates.insert(id);
-                });
-            }
-        }
-        // Fall back to scanning when the lake is tiny or prefixes are
-        // unlucky — keeps recall sensible for small k. The scan must
-        // pick a fixed id *set*: HashMap iteration order varies per
-        // map instance, and the query pipeline guarantees results that
-        // are byte-identical across runs and thread counts.
-        if candidates.len() < k && candidates.len() < self.slot_ids.len() {
-            let need = k.max(32) - candidates.len();
-            select_smallest_ids(self.slot_ids.iter().copied(), &mut candidates, need);
-        }
-        // Score in arena order: map candidate ids to slots, sort, and
-        // scan the word arena sequentially — candidates' signatures
-        // stream through the cache in address order instead of one
-        // random 2 KB read per hash probe.
-        let mut slots: Vec<u32> = candidates.iter().map(|id| self.slot_of[id]).collect();
-        slots.sort_unstable();
-        let hits: Vec<Hit> = slots
-            .into_iter()
-            .map(|s| Hit {
-                id: self.slot_ids[s as usize],
-                similarity: sig.similarity_words(self.slot_words(s), self.sig_meta),
-            })
-            .collect();
-        top_k(hits, k)
-    }
-
-    /// Items whose estimated similarity clears `threshold`, best
-    /// first, bounded by `limit` candidates considered.
-    pub fn query_threshold(&self, sig: &S, threshold: f64, limit: usize) -> Vec<Hit> {
-        self.query(sig, limit)
-            .into_iter()
-            .filter(|h| h.similarity >= threshold)
-            .collect()
+        query_union(&[self], sig, k)
     }
 
     /// Stored signature of an item, rebuilt from its arena words.
@@ -622,7 +640,9 @@ impl<S: Signature> LshForest<S> {
     /// zero-copy lookup the pairwise scoring stages resolve candidates
     /// through.
     pub fn signature_words(&self, id: ItemId) -> Option<&[u64]> {
-        self.slot_of.get(&id).map(|&s| self.slot_words(s))
+        self.slot_of
+            .get(&id)
+            .map(|&s| self.class_words(self.slot_class[s as usize]))
     }
 
     /// Shape metadata shared by every stored signature
@@ -643,7 +663,9 @@ impl<S: Signature> LshForest<S> {
         self.trees.iter().map(FlatTree::byte_size).sum()
     }
 
-    /// Footprint of the signature arena in bytes — exact and O(1).
+    /// Footprint of the signature arena in bytes — exact and O(1). It
+    /// counts each *distinct* stored signature once, so items sharing
+    /// a signature add nothing beyond their tree entries.
     pub fn signature_byte_size(&self) -> usize {
         self.sig_words.len() * 8
     }
@@ -653,6 +675,14 @@ impl<S: Signature> LshForest<S> {
     pub fn byte_size(&self) -> usize {
         self.tree_byte_size() + self.signature_byte_size()
     }
+}
+
+/// Hash of a signature's words — the interning index key. A collision
+/// only costs one extra word comparison, never a merge.
+fn words_hash(words: &[u64]) -> u64 {
+    words.iter().fold(0u64, |h, &w| {
+        (h.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 /// Add the `need` smallest ids from `ids` that are not already in
@@ -686,14 +716,20 @@ fn select_smallest_ids(
     candidates.extend(heap);
 }
 
-/// Top-`k` query over the disjoint union of several forests — the
-/// scatter-gather primitive of a sharded index.
+/// Top-`k` query over the disjoint union of several forests — the one
+/// descent and scoring path: [`LshForest::query`] is this over a
+/// single forest, and a sharded index passes one forest per shard.
+///
+/// Descends each tree from the full depth, widening the prefix until
+/// at least `k` distinct candidates are gathered (or depth is
+/// exhausted), then ranks candidates by their estimated similarity
+/// from the stored signatures. Panics unless every forest is
+/// committed.
 ///
 /// All forests must share one shape (same `l`, same `k`) and index
 /// disjoint item sets; each shard's trees then hold exactly the
-/// monolith's entries for its items, in the same sorted order. This
-/// runs the *same* algorithm as [`LshForest::query`] with one extra
-/// inner loop over forests:
+/// monolith's entries for its items, in the same sorted order, and
+/// the one extra inner loop over forests changes nothing:
 ///
 /// * per `(depth, tree)`, the union of the shards' prefix ranges has
 ///   exactly the contents of the monolith's prefix range (a sorted
@@ -724,15 +760,23 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
     // forest computes the same ones.
     let labels = forests[0].query_labels(sig);
     let mut candidates: IdHashSet<ItemId> = IdHashSet::default();
-    // Same cursor-widening descent as [`LshForest::query`], with one
-    // cursor per (forest, tree): the union still deepens level by
-    // level across every shard in lockstep.
+    // Synchronous descent, deepest first, with one cursor per
+    // (forest, tree): one full-depth binary search seeds each cursor,
+    // then each shallower level widens the cursors outward over the
+    // arena — every level sees exactly the prefix runs a per-level
+    // binary search would, but each entry is visited once per tree.
     let mut cursors: Vec<(usize, usize)> = Vec::with_capacity(forests.len() * l);
+    // Items with equal signatures carry equal labels in every tree, so
+    // a duplicate-heavy lookup finds the same full-depth run tree after
+    // tree: insert each distinct run once.
+    let mut seeded: Vec<&[ItemId]> = Vec::with_capacity(forests.len() * l);
     for f in forests {
         for (t, tree) in f.trees.iter().enumerate() {
             let (lo, hi) = tree.prefix_range(&labels[t * depth_k..(t + 1) * depth_k]);
-            for &id in &tree.ids()[lo..hi] {
-                candidates.insert(id);
+            let run = &tree.ids()[lo..hi];
+            if !seeded.contains(&run) {
+                candidates.extend(run.iter().copied());
+                seeded.push(run);
             }
             cursors.push((lo, hi));
         }
@@ -749,6 +793,11 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
             }
         }
     }
+    // Fall back to scanning when the lake is tiny or prefixes are
+    // unlucky — keeps recall sensible for small k. The scan must pick
+    // a fixed id *set*: HashMap iteration order varies per map
+    // instance, and the query pipeline guarantees results that are
+    // byte-identical across runs and thread counts.
     if candidates.len() < k && candidates.len() < total {
         let need = k.max(32) - candidates.len();
         select_smallest_ids(
@@ -757,30 +806,39 @@ pub fn query_union<S: Signature>(forests: &[&LshForest<S>], sig: &S, k: usize) -
             need,
         );
     }
-    // Same arena-order scoring as the monolith: locate each candidate
-    // in its owning shard, sort by (shard, slot), and scan each
-    // shard's word arena sequentially.
-    let mut located: Vec<(u32, u32)> = candidates
+    // Score each distinct signature once: tag every candidate with its
+    // owning (forest, class), sort so that equal classes sit together
+    // in arena order, and score a class on its first candidate only.
+    // Equal words give a bit-identical similarity, so sharing the
+    // score changes no hit.
+    let mut located: Vec<(u64, ItemId)> = candidates
         .iter()
         .map(|&id| {
             forests
                 .iter()
                 .enumerate()
-                .find_map(|(fi, f)| f.slot_of.get(&id).map(|&s| (fi as u32, s)))
+                .find_map(|(fi, f)| {
+                    let class = f.slot_class[*f.slot_of.get(&id)? as usize];
+                    Some(((fi as u64) << 32 | class as u64, id))
+                })
                 .expect("candidate came from one of the forests")
         })
         .collect();
-    located.sort_unstable();
-    let hits: Vec<Hit> = located
-        .into_iter()
-        .map(|(fi, s)| {
-            let f = &forests[fi as usize];
-            Hit {
-                id: f.slot_ids[s as usize],
-                similarity: sig.similarity_words(f.slot_words(s), f.sig_meta),
+    located.sort_unstable_by_key(|&(key, _)| key);
+    let mut hits = Vec::with_capacity(located.len());
+    let mut memo: Option<(u64, f64)> = None;
+    for (key, id) in located {
+        let similarity = match memo {
+            Some((scored, s)) if scored == key => s,
+            _ => {
+                let f = forests[(key >> 32) as usize];
+                let s = sig.similarity_words(f.class_words(key as u32), f.sig_meta);
+                memo = Some((key, s));
+                s
             }
-        })
-        .collect();
+        };
+        hits.push(Hit { id, similarity });
+    }
     top_k(hits, k)
 }
 
@@ -838,7 +896,9 @@ impl<S: Signature + Send + Sync> LshForest<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::splitmix64;
     use crate::minhash::{MinHashSignature, MinHasher};
+    use std::collections::{BTreeMap, HashSet};
 
     fn tokens(prefix: &str, range: std::ops::Range<usize>) -> Vec<String> {
         range.map(|i| format!("{prefix}{i}")).collect()
@@ -907,18 +967,6 @@ mod tests {
     }
 
     #[test]
-    fn threshold_query_filters() {
-        let mh = MinHasher::new(256, 77);
-        let mut f = LshForest::new(256, 16);
-        f.insert(1, sign(&mh, &tokens("x", 0..100)));
-        f.insert(2, sign(&mh, &tokens("z", 0..100)));
-        f.commit();
-        let hits = f.query_threshold(&sign(&mh, &tokens("x", 0..100)), 0.7, 10);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].id, 1);
-    }
-
-    #[test]
     fn small_lake_fallback_returns_everything() {
         let mh = MinHasher::new(64, 5);
         let mut f = LshForest::new(64, 8);
@@ -981,6 +1029,202 @@ mod tests {
         assert!(!f.is_committed());
         f.commit();
         assert!(f.is_committed());
+    }
+
+    /// A signature of 64 words in class `class`. Every class shares
+    /// words 0..7, so tree 0's depth-7 prefix run (with 8 trees of
+    /// depth 8) covers every item: a lookup that widens past full
+    /// depth gathers the whole forest, and the exact brute-force top-k
+    /// is the expected answer. Word 7 is the class's own, so at full
+    /// depth a lookup finds only its class. From word 8 on, classes
+    /// agree with a shared base word on every third position, a
+    /// pattern that depends on `class % 3` — so similarities tie
+    /// across classes.
+    fn dup_sig(class: u64) -> MinHashSignature {
+        MinHashSignature(
+            (0..64u64)
+                .map(|p| match p {
+                    0..=6 => 0xab00 + p,
+                    _ if p >= 8 && (p + class).is_multiple_of(3) => 0xcd00 + p,
+                    _ => splitmix64(class * 1000 + p),
+                })
+                .collect(),
+        )
+    }
+
+    /// 120 items with heavy duplication: items 0..96 fall into six
+    /// classes of 16 members, items 96..120 have signatures of their
+    /// own. Ids are sparse.
+    fn dup_items() -> Vec<(ItemId, MinHashSignature)> {
+        (0..120u64)
+            .map(|i| {
+                let class = if i < 96 { i % 6 } else { 100 + i };
+                (i * 5 + 2, dup_sig(class))
+            })
+            .collect()
+    }
+
+    /// Score every item and sort by (similarity desc, id asc).
+    fn brute_force(
+        items: &[(ItemId, MinHashSignature)],
+        q: &MinHashSignature,
+        k: usize,
+    ) -> Vec<Hit> {
+        let mut all: Vec<Hit> = items
+            .iter()
+            .map(|(id, sig)| Hit {
+                id: *id,
+                similarity: q.similarity(sig),
+            })
+            .collect();
+        all.sort_by(|a, b| {
+            b.similarity
+                .total_cmp(&a.similarity)
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        all.truncate(k);
+        all
+    }
+
+    fn distinct_signatures<'a>(sigs: impl Iterator<Item = &'a MinHashSignature>) -> usize {
+        sigs.map(|s| s.0.clone()).collect::<HashSet<_>>().len()
+    }
+
+    /// Interning scores each distinct signature once per lookup; the
+    /// answers must still be the exact top-k, for the monolith and
+    /// for the union over every shard count.
+    #[test]
+    fn interned_lookups_match_brute_force() {
+        let items = dup_items();
+        let monolith = LshForest::build_from(64, 8, items.clone(), 1);
+        assert_eq!(monolith.len(), 120);
+        assert_eq!(monolith.signature_byte_size(), (6 + 24) * 64 * 8);
+        let queries = [dup_sig(0), dup_sig(3), dup_sig(105), dup_sig(999)];
+        for shards in [1u64, 2, 8] {
+            let parts: Vec<LshForest<MinHashSignature>> = (0..shards)
+                .map(|s| {
+                    let mine = items.iter().filter(|(id, _)| id % shards == s).cloned();
+                    LshForest::build_from(64, 8, mine.collect(), 1)
+                })
+                .collect();
+            let refs: Vec<&LshForest<MinHashSignature>> = parts.iter().collect();
+            for (qi, q) in queries.iter().enumerate() {
+                for k in [0usize, 1, 5, 50, 130] {
+                    let want = brute_force(&items, q, k);
+                    assert_eq!(monolith.query(q, k), want, "query {qi} k={k}");
+                    assert_eq!(
+                        query_union(&refs, q, k),
+                        want,
+                        "query {qi} shards={shards} k={k}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Insert, remove and re-insert-with-a-new-signature churn must
+    /// leave exactly the forest a fresh bulk build of the survivors
+    /// gives: the same trees, the same stored signatures, and one
+    /// arena class per distinct signature with no leaked classes.
+    #[test]
+    fn churn_leaves_a_fresh_build_of_the_survivors() {
+        let mut f = LshForest::new(64, 8);
+        let mut live: BTreeMap<ItemId, MinHashSignature> = BTreeMap::new();
+        for (id, sig) in dup_items() {
+            f.insert(id, sig.clone());
+            live.insert(id, sig);
+        }
+        f.commit();
+        let ids: Vec<ItemId> = live.keys().copied().collect();
+        for (i, &id) in ids.iter().enumerate() {
+            // Drop all of class 2 (a class in the middle of the
+            // arena) and every seventh item.
+            if (i < 96 && i % 6 == 2) || i % 7 == 0 {
+                assert!(f.remove(id));
+                live.remove(&id);
+            }
+        }
+        for (i, &id) in ids.iter().enumerate().take(48) {
+            // Move class 4 to two new classes, and bring some of the
+            // removed class-2 ids back as members of class 0.
+            let new_sig = match i % 6 {
+                4 => dup_sig(200 + i as u64 % 2),
+                2 if i % 4 == 2 => dup_sig(0),
+                _ => continue,
+            };
+            f.remove(id);
+            f.insert(id, new_sig.clone());
+            live.insert(id, new_sig);
+        }
+        for id in 1000..1010 {
+            let sig = dup_sig(if id % 2 == 0 { 3 } else { id });
+            f.insert(id, sig.clone());
+            live.insert(id, sig);
+        }
+        f.commit();
+
+        let survivors: Vec<(ItemId, MinHashSignature)> = live.clone().into_iter().collect();
+        let fresh = LshForest::build_from(64, 8, survivors.clone(), 2);
+        assert_eq!(f.trees, fresh.trees);
+        assert_eq!(f.len(), live.len());
+        for (id, sig) in &live {
+            assert_eq!(f.signature(*id).as_ref(), Some(sig), "item {id}");
+        }
+        let distinct = distinct_signatures(live.values());
+        assert_eq!(f.signature_byte_size(), distinct * 64 * 8);
+        assert_eq!(fresh.signature_byte_size(), distinct * 64 * 8);
+        // No leaked classes: every class has exactly as many
+        // references as member slots, and the hash index lists each
+        // class once.
+        assert_eq!(f.class_refs.len(), distinct);
+        let mut members = vec![0u32; distinct];
+        for &c in &f.slot_class {
+            members[c as usize] += 1;
+        }
+        assert_eq!(members, f.class_refs);
+        let indexed: Vec<u32> = f.classes_by_hash.values().flatten().copied().collect();
+        assert_eq!(indexed.len(), distinct);
+        assert_eq!(indexed.iter().collect::<HashSet<_>>().len(), distinct);
+        for q in [dup_sig(0), dup_sig(200), dup_sig(1003), dup_sig(999)] {
+            for k in [1usize, 5, 50, 200] {
+                assert_eq!(f.query(&q, k), fresh.query(&q, k), "k={k}");
+                assert_eq!(f.query(&q, k), brute_force(&survivors, &q, k), "k={k}");
+            }
+        }
+        // Removing everything frees every class.
+        for id in live.keys() {
+            assert!(f.remove(*id));
+        }
+        assert!(f.is_empty());
+        assert_eq!(f.signature_byte_size(), 0);
+        assert!(f.class_refs.is_empty() && f.classes_by_hash.is_empty());
+    }
+
+    /// Two different signatures whose words hash equally stay two
+    /// classes: the hash only finds a candidate class, and the full
+    /// word comparison decides.
+    #[test]
+    fn hash_collisions_never_merge_signatures() {
+        // With two words, h = ((w0 * M).rotl(5) ^ w1) * M, so choosing
+        // w1' to cancel the first-word difference forces a collision.
+        let fold1 = |w0: u64| w0.wrapping_mul(0x517c_c1b7_2722_0a95).rotate_left(5);
+        let a = MinHashSignature(vec![1, 7]);
+        let b = MinHashSignature(vec![2, 7 ^ fold1(1) ^ fold1(2)]);
+        assert_ne!(a, b);
+        assert_eq!(words_hash(&a.0), words_hash(&b.0));
+        let mut f = LshForest::new(2, 1);
+        f.insert(10, a.clone());
+        f.insert(11, b.clone());
+        f.insert(12, a.clone());
+        f.commit();
+        assert_eq!(f.class_refs, vec![2, 1]);
+        assert_eq!(f.classes_by_hash.len(), 1, "one hash, two classes");
+        assert_eq!(f.signature(11).as_ref(), Some(&b));
+        assert!(f.remove(10));
+        assert!(f.remove(12));
+        assert_eq!(f.class_refs, vec![1]);
+        assert_eq!(f.signature(11).as_ref(), Some(&b));
+        assert_eq!(f.signature_byte_size(), 2 * 8);
     }
 
     /// `build_from` must equal insert-then-commit byte for byte, at

@@ -53,17 +53,27 @@ impl Hit {
     }
 }
 
-/// Sort hits by descending similarity, tie-broken by id for
-/// determinism, and truncate to `k`. Uses `f64::total_cmp`: a NaN
-/// similarity (conceivable with adversarial float inputs) must not
-/// break the strict weak ordering the sort contract requires.
+/// The `k` best hits by descending similarity, tie-broken by id for
+/// determinism, in that order. Uses `f64::total_cmp`: a NaN similarity
+/// (conceivable with adversarial float inputs) must not break the
+/// strict weak ordering the sort contract requires. With the id
+/// tie-break the comparator is a total order, so partially selecting
+/// the first `k` and sorting only those gives exactly the prefix a
+/// full sort would.
 pub fn top_k(mut hits: Vec<Hit>, k: usize) -> Vec<Hit> {
-    hits.sort_by(|a, b| {
+    let order = |a: &Hit, b: &Hit| {
         b.similarity
             .total_cmp(&a.similarity)
             .then_with(|| a.id.cmp(&b.id))
-    });
-    hits.truncate(k);
+    };
+    if k == 0 {
+        return Vec::new();
+    }
+    if k < hits.len() {
+        hits.select_nth_unstable_by(k - 1, order);
+        hits.truncate(k);
+    }
+    hits.sort_unstable_by(order);
     hits
 }
 

@@ -15,10 +15,11 @@
 //! signatures: varint count, count × { varint item id, signature }
 //! ```
 //!
-//! Signatures are written in ascending item-id order so the encoding
-//! of a forest is a deterministic function of its contents (the
-//! in-memory signature arena is in slot order, which depends on
-//! insertion and removal history).
+//! Signatures are written in ascending item-id order, one per id, so
+//! the encoding of a forest is a deterministic function of its
+//! contents: the in-memory arena interns equal signatures into one
+//! class and orders classes by insertion and removal history, and
+//! neither shows on disk. Decoding interns them again.
 //! Decoding validates the structural invariants — positive tree
 //! count, labels of exactly `k` bytes, one tree entry per signature
 //! per tree, and sorted tree arrays when the committed flag is set —
@@ -71,7 +72,14 @@ impl<S: Signature + SignatureCodec> LshForest<S> {
     /// snapshot section.
     pub fn to_bytes(&self) -> Vec<u8> {
         let (l, k) = self.shape();
-        let mut enc = Encoder::with_capacity(self.byte_size() + 64);
+        // The arena holds distinct signatures only, but the encoding
+        // writes one per id: size the buffer for that.
+        let per_sig = self
+            .ids()
+            .next()
+            .and_then(|id| self.signature_words(id))
+            .map_or(0, |w| w.len() * 8 + 16);
+        let mut enc = Encoder::with_capacity(self.tree_byte_size() + self.len() * per_sig + 64);
         enc.put_varint(l as u64);
         enc.put_varint(k as u64);
         enc.put_u8(self.is_committed() as u8);
@@ -236,6 +244,32 @@ mod tests {
         let a = minhash_forest().to_bytes();
         let b = minhash_forest().to_bytes();
         assert_eq!(a, b);
+    }
+
+    /// Interning is invisible on disk: a forest whose items share
+    /// signatures still writes one signature per id, and decoding
+    /// then re-encoding gives back the same bytes.
+    #[test]
+    fn duplicate_signatures_round_trip_byte_for_byte() {
+        let mh = MinHasher::new(64, 7);
+        let mut f = LshForest::new(64, 8);
+        for i in 0..30u64 {
+            let toks: Vec<String> = (i % 4..i % 4 + 20).map(|j| format!("tok{j}")).collect();
+            f.insert(i * 3, mh.sign_strs(toks.iter().map(String::as_str)));
+        }
+        f.commit();
+        assert_eq!(
+            f.signature_byte_size(),
+            4 * 64 * 8,
+            "four distinct signatures"
+        );
+        let bytes = f.to_bytes();
+        let loaded = LshForest::<MinHashSignature>::from_bytes(&bytes).unwrap();
+        assert_eq!(loaded.to_bytes(), bytes);
+        assert_eq!(loaded.signature_byte_size(), f.signature_byte_size());
+        for id in f.ids() {
+            assert_eq!(loaded.signature(id), f.signature(id));
+        }
     }
 
     #[test]

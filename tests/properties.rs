@@ -428,3 +428,59 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Top-k selection
+//
+// `top_k` selects the best `k` hits with a partial selection and sorts
+// only those. Its comparator (similarity descending under `total_cmp`,
+// then id ascending) is a total order, so the result must be exactly
+// the first `k` hits of a full sort — with ties, NaNs and infinities.
+
+/// Draws for `top_k`: similarities from a small pool so ties are
+/// common, with NaN of both signs, ±inf and ±0 mixed in; ids from a
+/// small range so the id tie-break decides often.
+fn hit_draw(max_len: usize) -> impl Strategy<Value = Vec<(u64, f64)>> {
+    let similarity = prop_oneof![
+        Just(0.0f64),
+        Just(-0.0f64),
+        Just(0.25f64),
+        Just(0.5f64),
+        Just(1.0f64),
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        0f64..1.0,
+    ];
+    prop::collection::vec((0u64..48, similarity), 0..max_len)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn top_k_equals_full_sort_then_truncate(draw in hit_draw(40)) {
+        use d3l::lsh::{top_k, Hit};
+        let hits: Vec<Hit> = draw
+            .iter()
+            .map(|&(id, similarity)| Hit { id, similarity })
+            .collect();
+        let mut full = hits.clone();
+        full.sort_by(|a, b| {
+            b.similarity
+                .total_cmp(&a.similarity)
+                .then_with(|| a.id.cmp(&b.id))
+        });
+        // Compare bit patterns: NaN is not equal to itself.
+        let bits = |v: &[Hit]| -> Vec<(u64, u64)> {
+            v.iter().map(|h| (h.id, h.similarity.to_bits())).collect()
+        };
+        for k in 0..=hits.len() + 2 {
+            prop_assert_eq!(
+                bits(&top_k(hits.clone(), k)),
+                bits(&full[..k.min(full.len())])
+            );
+        }
+    }
+}
